@@ -26,7 +26,11 @@ Commands:
 * ``resume``  — finish a partially-failed ``run`` from its state file;
 * ``update``  — incremental run: diff the input CSVs against the last
   run's persisted baseline (``<out>/baseline/``) and recompute only
-  the affected subgraphs, skipping clean ones;
+  the affected subgraphs, skipping clean ones; the files of cubes the
+  update left unchanged stay on disk as they are;
+* ``query``   — OLAP queries over one cube, read from its baseline copy
+  (or, for an input cube without one, its project CSV) and answered
+  from the roll-up lattice;
 * ``recover`` — replay the write-ahead journal after a hard crash
   (SIGKILL, OOM, power loss), roll back torn writes, and synthesize a
   resumable state file from the checksummed committed subgraphs.
@@ -60,7 +64,7 @@ import json
 import shutil
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .backends import all_backends
 from .chase.atomic import atomic_write
@@ -194,6 +198,7 @@ def _build_engine(
     journal=None,
     adaptive: bool = False,
     out_dir: Optional[Path] = None,
+    load_data: bool = True,
 ) -> EXLEngine:
     # adaptive runs learn across processes: the cost history lives next
     # to the run's other durable state, under <out>/costs/
@@ -233,8 +238,9 @@ def _build_engine(
                         for key, value in mapping.items()
                     },
                 )
-    for cube in project.load_data().values():
-        engine.load(cube)
+    if load_data:
+        for cube in project.load_data().values():
+            engine.load(cube)
     return engine
 
 
@@ -343,32 +349,45 @@ def _persist_state(engine, state_record: Dict[str, Any], out_dir: Path,
     )
 
 
-def _write_outputs(engine, project, record, out_dir: Path, journal=None) -> None:
+def _write_outputs(engine, project, record, out_dir: Path, journal=None,
+                   reuse=()) -> None:
+    """Export the output cubes as ``<out>/<name>.csv``.
+
+    A cube in ``reuse`` still has the version whose bytes sit in
+    ``baseline/<name>.csv``: its export is refreshed from those bytes,
+    and only when it differs from them (deleted or hand-edited).
+    """
     names = project.outputs or list(
         dict.fromkeys(
             cube for sub in record["subgraphs"] for cube in sub["cubes"]
         )
     )
+    baseline_dir = _baseline_paths(out_dir)[0]
     for name in names:
         if not engine.catalog.has_data(name):
             print(f"skipped {name}: not computed (see run state)", file=sys.stderr)
             continue
         cube = engine.data(name)
         destination = out_dir / f"{name}.csv"
-        text = journal.snapshot_text(name) if journal is not None else None
-        if text is None:
-            text = cube_to_csv_text(cube)
-        atomic_write(destination, text)
+        if name in reuse:
+            data = (baseline_dir / f"{name}.csv").read_bytes()
+            if destination.is_file() and destination.read_bytes() == data:
+                print(f"kept {destination} ({len(cube)} tuples, unchanged)")
+                continue
+            digest = hashlib.sha256(data).hexdigest()
+        else:
+            data = journal.snapshot_text(name) if journal is not None else None
+            if data is None:
+                data = cube_to_csv_text(cube)
+            digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
+        atomic_write(destination, data)
         if journal is not None:
-            journal.sidecar_write(
-                "output", destination,
-                hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            )
+            journal.sidecar_write("output", destination, digest)
         print(f"wrote {destination} ({len(cube)} tuples)")
 
 
 def _finish_run(engine, project, record, previous_state, args,
-                journal=None) -> int:
+                journal=None, reuse=()) -> int:
     """Shared run/resume epilogue: outputs, state file, exit code.
 
     Success (0) leaves the state file, committed snapshots, and journal
@@ -386,7 +405,9 @@ def _finish_run(engine, project, record, previous_state, args,
         s for s in state_record["subgraphs"]
         if s["outcome"] not in COMMITTED_OUTCOMES
     ]
-    _write_outputs(engine, project, state_record, out_dir, journal=journal)
+    _write_outputs(
+        engine, project, state_record, out_dir, journal=journal, reuse=reuse
+    )
     if unfinished:
         _persist_state(engine, state_record, out_dir, state_path)
         if journal is not None:
@@ -425,7 +446,8 @@ def _baseline_paths(out_dir: Path):
     return baseline_dir, baseline_dir / "baseline.json"
 
 
-def _persist_baseline(engine, record, out_dir: Path, journal=None) -> None:
+def _persist_baseline(engine, record, out_dir: Path, journal=None,
+                      reuse=None) -> None:
     """Snapshot the finished run for a later ``exl update``.
 
     Writes every cube with data (elementary and derived) as a CSV under
@@ -436,43 +458,69 @@ def _persist_baseline(engine, record, out_dir: Path, journal=None) -> None:
     the cube's dictionaries and key codes, so the next process attaches
     the encoded columns instead of re-encoding unchanged relations.
 
+    ``reuse`` maps each cube whose head is still the version an
+    ``update`` re-admitted from ``baseline/<name>.csv`` to whether its
+    columnar sidecar attached.  Such a cube's CSV already holds the
+    bytes the writer would produce again, so it is left in place, and
+    so is its sidecar unless that failed to attach.
+
     All files are written atomically, and ``baseline.json`` is written
     *last* — a crash mid-baseline leaves no ``baseline.json``, which
     ``update`` already treats as "no baseline", never a torn one.
     """
+    reuse = reuse or {}
+    metrics = engine.metrics
     baseline_dir, baseline_file = _baseline_paths(out_dir)
     baseline_dir.mkdir(parents=True, exist_ok=True)
     cubes: Dict[str, str] = {}
+    written: List[Path] = []
     for name in engine.catalog.store.names():
         if not engine.catalog.has_data(name):
             continue
         destination = baseline_dir / f"{name}.csv"
+        cubes[name] = destination.name
+        sidecar = sidecar_path_for(baseline_dir, name)
+        if name in reuse:
+            metrics.inc("cli.baseline.cubes_reused")
+            if not reuse[name] and write_store_sidecar(
+                engine.data(name), destination, sidecar
+            ):
+                written.append(sidecar)
+            continue
         text = journal.snapshot_text(name) if journal is not None else None
         if text is None:
             text = cube_to_csv_text(engine.data(name))
         atomic_write(destination, text)
+        written.append(destination)
         if journal is not None:
             journal.sidecar_write(
                 "baseline", destination,
                 hashlib.sha256(text.encode("utf-8")).hexdigest(),
             )
-        write_store_sidecar(
-            engine.data(name), destination, sidecar_path_for(baseline_dir, name)
-        )
+        if write_store_sidecar(engine.data(name), destination, sidecar):
+            written.append(sidecar)
         if engine.olap is not None:
-            write_lattice_sidecar(
-                engine.olap.lattice(name),
-                destination,
-                olap_sidecar_path_for(baseline_dir, name),
-            )
-        cubes[name] = destination.name
+            lattice_sidecar = olap_sidecar_path_for(baseline_dir, name)
+            if write_lattice_sidecar(
+                engine.olap.lattice(name), destination, lattice_sidecar
+            ):
+                written.append(lattice_sidecar)
     atomic_write(
         baseline_file,
         json.dumps({"record": record.to_json(), "cubes": cubes}, indent=2)
         + "\n",
     )
+    written.append(baseline_file)
     if journal is not None:
         journal.sidecar_write("baseline-index", baseline_file)
+    metrics.inc(
+        "cli.baseline.bytes_written", sum(p.stat().st_size for p in written)
+    )
+    print(
+        f"baseline: {metrics.value('cli.baseline.cubes_read')} cube(s) read, "
+        f"{metrics.value('cli.baseline.cubes_reused')} reused, "
+        f"{metrics.value('cli.baseline.bytes_written')} bytes written"
+    )
 
 
 def cmd_update(args) -> int:
@@ -508,6 +556,7 @@ def cmd_update(args) -> int:
         if code == 0:
             _persist_baseline(engine, record, out_dir, journal=journal)
             _finalize_success(out_dir, _state_path(args, out_dir), journal)
+        _print_metrics(args, engine)
         return code
     state = _load_state_json(baseline_file, "baseline", out_dir)
     if state is None:
@@ -520,6 +569,17 @@ def cmd_update(args) -> int:
             file=sys.stderr,
         )
         return 2
+    store = engine.catalog.store
+    baseline_cubes = state.get("cubes", {})
+    # cube -> (version whose serialization is exactly the bytes of
+    # baseline/<name>.csv, whether its columnar sidecar attached)
+    readmitted: Dict[str, Tuple[int, bool]] = {}
+
+    def readmit(name: str, attached: bool) -> None:
+        # only the file _persist_baseline itself would write is kept
+        if baseline_cubes[name] == f"{name}.csv":
+            readmitted[name] = (store.latest_version(name), attached)
+
     # which inputs actually changed: diff the freshly-loaded CSVs
     # against the baseline snapshots (version counters mean nothing
     # across processes, content is the only signal)
@@ -527,43 +587,50 @@ def cmd_update(args) -> int:
     for name in engine.catalog.elementary_names:
         if not engine.catalog.has_data(name):
             continue
-        rel_path = state.get("cubes", {}).get(name)
+        rel_path = baseline_cubes.get(name)
         if rel_path is None:
             changed.append(name)
             continue
-        previous = read_cube_csv(
-            engine.catalog.schema_of(name), baseline_dir / rel_path
+        path = baseline_dir / rel_path
+        # byte-identical input: clean without parsing the baseline copy
+        same = project.csv_paths[name].read_bytes() == path.read_bytes()
+        if not same:
+            previous = read_cube_csv(engine.catalog.schema_of(name), path)
+            engine.metrics.inc("cli.baseline.cubes_read")
+            if not previous.delta(engine.data(name)).is_empty:
+                changed.append(name)
+                continue
+        # content-identical to the baseline: re-attach the persisted
+        # columnar store so the chase adopts it without re-encoding
+        attached = attach_store_sidecar(
+            engine.data(name),
+            path,
+            sidecar_path_for(baseline_dir, name),
+            metrics=engine.metrics,
         )
-        if not previous.delta(engine.data(name)).is_empty:
-            changed.append(name)
-        else:
-            # content-identical to the baseline: re-attach the persisted
-            # columnar store so the chase adopts it without re-encoding
-            attach_store_sidecar(
-                engine.data(name),
-                baseline_dir / rel_path,
-                sidecar_path_for(baseline_dir, name),
-                metrics=engine.metrics,
-            )
+        if same:
+            readmit(name, attached)
     # re-admit the baseline's derived cubes: unchanged subgraphs then
     # keep these versions (skipped with outcome "clean") instead of
     # being recomputed
-    for name, rel_path in state.get("cubes", {}).items():
+    for name, rel_path in baseline_cubes.items():
         if engine.catalog.is_derived(name):
             cube = read_cube_csv(
                 engine.catalog.schema_of(name), baseline_dir / rel_path
             )
-            attach_store_sidecar(
+            engine.metrics.inc("cli.baseline.cubes_read")
+            attached = attach_store_sidecar(
                 cube,
                 baseline_dir / rel_path,
                 sidecar_path_for(baseline_dir, name),
                 metrics=engine.metrics,
             )
-            engine.catalog.store.put(cube)
+            store.put(cube)
+            readmit(name, attached)
     restored = engine.runs.restore(state["record"])
     restored.baseline_versions = {
-        name: engine.catalog.store.latest_version(name)
-        for name in engine.catalog.store.names()
+        name: store.latest_version(name)
+        for name in store.names()
         if engine.catalog.has_data(name)
     }
     record = engine.update(
@@ -575,11 +642,26 @@ def cmd_update(args) -> int:
         fault_plan=_fault_plan_from(args),
     )
     print(record.summary())
-    code = _finish_run(engine, project, record, None, args, journal=journal)
+    # a cube still at its re-admitted version is not re-serialized
+    reuse = {
+        name: attached
+        for name, (version, attached) in readmitted.items()
+        if store.latest_version(name) == version
+    }
+    code = _finish_run(
+        engine, project, record, None, args, journal=journal, reuse=reuse
+    )
     if code == 0:
-        _persist_baseline(engine, record, out_dir, journal=journal)
+        _persist_baseline(engine, record, out_dir, journal=journal, reuse=reuse)
         _finalize_success(out_dir, _state_path(args, out_dir), journal)
+    _print_metrics(args, engine)
     return code
+
+
+def _print_metrics(args, engine) -> None:
+    if args.metrics:
+        print("\nmetrics:")
+        print(engine.metrics.render())
 
 
 def cmd_run(args) -> int:
@@ -635,13 +717,11 @@ def cmd_run(args) -> int:
     if tracer is not None:
         print("\ntrace summary:")
         print(tracer.summary())
-    if args.metrics:
-        print("\nmetrics:")
-        print(engine.metrics.render())
     code = _finish_run(engine, project, record, None, args, journal=journal)
     if code == 0:
         _persist_baseline(engine, record, out_dir=out_dir, journal=journal)
         _finalize_success(out_dir, _state_path(args, out_dir), journal)
+    _print_metrics(args, engine)
     return code
 
 
@@ -777,31 +857,30 @@ def _level_value(lattice, dim: str, level_name: str, text: str):
 
 def cmd_query(args) -> int:
     project = load_project(args.project)
-    engine = _build_engine(project)
+    # a query reads one cube and never chases: no other cube is loaded
+    # and no columnar sidecar is attached
+    engine = _build_engine(project, load_data=False)
     out_dir = Path(args.out)
     baseline_dir, baseline_file = _baseline_paths(out_dir)
-    # re-admit the persisted baseline so derived cubes are queryable
-    # without re-running; elementary project CSVs are already loaded
-    cube_csvs: Dict[str, Path] = {}
+    name = args.cube
+    csv_path: Optional[Path] = None
     if baseline_file.exists():
         state = _load_state_json(baseline_file, "baseline", out_dir)
         if state is None:
             return EXIT_CORRUPT_STATE
-        for name, rel_path in state.get("cubes", {}).items():
-            if name not in engine.catalog:
-                continue
-            path = baseline_dir / rel_path
-            cube = read_cube_csv(engine.catalog.schema_of(name), path)
-            attach_store_sidecar(
-                cube, path, sidecar_path_for(baseline_dir, name),
-                metrics=engine.metrics,
-            )
-            engine.catalog.store.put(cube)
-            cube_csvs[name] = path
-    name = args.cube
+        rel_path = state.get("cubes", {}).get(name)
+        if rel_path is not None:
+            csv_path = baseline_dir / rel_path
     if name not in engine.catalog:
         print(f"unknown cube {name!r}", file=sys.stderr)
         return 2
+    schema = engine.catalog.schema_of(name)
+    if csv_path is not None:
+        # the last run's copy, derived or elementary, is what it computed
+        engine.catalog.store.put(read_cube_csv(schema, csv_path))
+        engine.metrics.inc("cli.baseline.cubes_read")
+    elif project.csv_paths.get(name) is not None:
+        engine.load(read_cube_csv(schema, project.csv_paths[name]))
     if not engine.catalog.has_data(name):
         print(
             f"cube {name!r} has no data; run the project first: "
@@ -812,7 +891,6 @@ def cmd_query(args) -> int:
     service = engine.enable_olap(aggregate=args.agg)
     # attach the persisted lattice so warm queries skip the group-by;
     # a stale or missing sidecar just means one in-process build
-    csv_path = cube_csvs.get(name)
     attached = False
     if csv_path is not None:
         lattice = service._new_lattice(name)
@@ -829,7 +907,6 @@ def cmd_query(args) -> int:
     lattice = service.lattice(name)
     levels = _parse_assignments(args.levels, "level assignment")
     if args.point:
-        schema = engine.catalog.schema_of(name)
         coords = {}
         for dim, text in _parse_assignments(args.point, "coordinate").items():
             coords[dim] = parse_dim_value(
@@ -875,11 +952,10 @@ def cmd_query(args) -> int:
             )
         print(f"  groups materialized: {lattice.total_groups()}")
     if csv_path is not None and not attached:
-        write_lattice_sidecar(
-            service.lattice(name),
-            csv_path,
-            olap_sidecar_path_for(baseline_dir, name),
-        )
+        sidecar = olap_sidecar_path_for(baseline_dir, name)
+        if write_lattice_sidecar(service.lattice(name), csv_path, sidecar):
+            engine.metrics.inc("cli.baseline.bytes_written", sidecar.stat().st_size)
+    _print_metrics(args, engine)
     return 0
 
 
@@ -1060,6 +1136,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="require the persisted baseline to be this run id "
         "(defensive pin; default: accept whatever baseline is there)",
     )
+    update.add_argument(
+        "--metrics",
+        action="store_true",
+        help="print the metrics registry after the update, including "
+        "the baseline cubes it read, reused and the bytes it wrote",
+    )
     update.set_defaults(func=cmd_update)
 
     recover_cmd = sub.add_parser(
@@ -1135,6 +1217,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="ROW,COL",
         help="print a cross-tab of two dimensions with row/column "
         "sub-totals and a grand total",
+    )
+    query.add_argument(
+        "--metrics",
+        action="store_true",
+        help="print the metrics registry after the answer (cubes read, "
+        "lattice builds and sidecar hits)",
     )
     query.set_defaults(func=cmd_query)
 

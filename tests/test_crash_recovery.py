@@ -17,6 +17,7 @@ Three layers, bottom up:
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -316,12 +317,12 @@ def crash_project(tmp_path):
     return tmp_path / "project.json"
 
 
-def _run_subprocess(project, out_dir, seed):
+def _run_subprocess(project, out_dir, seed, command="run"):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     return subprocess.run(
         [
-            sys.executable, "-m", "repro", "run", str(project),
+            sys.executable, "-m", "repro", command, str(project),
             "--out", str(out_dir), "--on-error", "continue",
             "--inject-faults", "*:kill:p=0.45",
             "--fault-seed", str(seed),
@@ -375,6 +376,53 @@ class TestKillMinusNineHarness:
             assert not (out / ".committed").exists(), f"seed {seed}"
             assert list((out / "journal").glob("*.wal")) == [], f"seed {seed}"
         # the harness is vacuous unless the kill actually lands often
+        assert killed >= 5, f"only {killed}/20 seeds were killed"
+
+    def test_killed_revision_update_converges(
+        self, crash_project, tmp_path, capsys
+    ):
+        """A revision ``exl update`` killed mid-dispatch, then recover +
+        resume (or a fresh update when nothing was journalled), ends
+        byte-identical to an uninterrupted update: outputs and baseline."""
+        project_dir = crash_project.parent
+        base = tmp_path / "base"
+        assert cli_main(["run", str(crash_project), "--out", str(base)]) == 0
+        csv = project_dir / "e1.csv"
+        csv.write_text(csv.read_text().replace(",3.0\n", ",30.0\n"))
+        reference = tmp_path / "reference"
+        shutil.copytree(base, reference)
+        assert cli_main(
+            ["update", str(crash_project), "--out", str(reference)]
+        ) == 0
+        files = [f"{name}.csv" for name in "ABCD"] + [
+            f"baseline/{name}.csv" for name in ("E1", "A", "B", "C", "D")
+        ]
+        expected = {rel: (reference / rel).read_bytes() for rel in files}
+        killed = 0
+        for seed in self.SEEDS:
+            out = tmp_path / f"crash-{seed}"
+            shutil.copytree(base, out)
+            proc = _run_subprocess(crash_project, out, seed, command="update")
+            if proc.returncode != 0:
+                assert proc.returncode == -signal.SIGKILL, (
+                    f"seed {seed}: rc={proc.returncode}\n{proc.stderr}"
+                )
+                killed += 1
+                code = cli_main(
+                    ["recover", str(crash_project), "--out", str(out)]
+                )
+                assert code in (0, 3), f"seed {seed}: recover rc={code}"
+                finish = "resume" if code == 3 else "update"
+                assert cli_main(
+                    [finish, str(crash_project), "--out", str(out)]
+                ) == 0, f"seed {seed}: {finish} failed"
+            for rel, blob in expected.items():
+                assert (out / rel).read_bytes() == blob, (
+                    f"seed {seed}: {rel} diverged after recovery"
+                )
+            assert not (out / "run-state.json").exists(), f"seed {seed}"
+            assert not (out / ".committed").exists(), f"seed {seed}"
+            assert list((out / "journal").glob("*.wal")) == [], f"seed {seed}"
         assert killed >= 5, f"only {killed}/20 seeds were killed"
 
     def test_recover_nonexistent_out_dir(self, crash_project, capsys):

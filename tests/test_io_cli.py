@@ -1,6 +1,7 @@
 """Tests for cube CSV I/O and the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -359,3 +360,238 @@ class TestCorruptStateFiles:
             ]
         )
         assert code == 4
+
+
+@pytest.fixture
+def multi_project(tmp_path):
+    """Two elementary series feeding three derived cubes."""
+    schema_s = CubeSchema("S", [Dimension("q", TIME(Frequency.QUARTER))], "v")
+    schema_t = CubeSchema("T", [Dimension("q", TIME(Frequency.QUARTER))], "v")
+    values = [float(i % 7) + 0.25 * i for i in range(100)]
+    write_cube_csv(
+        Cube.from_series(schema_s, quarter(2000, 1), values), tmp_path / "s.csv"
+    )
+    write_cube_csv(
+        Cube.from_series(schema_t, quarter(2000, 1), values[::-1]),
+        tmp_path / "t.csv",
+    )
+    spec = {
+        "elementary": [
+            {"name": "S", "dimensions": [["q", "time:Q"]], "measure": "v",
+             "csv": "s.csv"},
+            {"name": "T", "dimensions": [["q", "time:Q"]], "measure": "v",
+             "csv": "t.csv"},
+        ],
+        "program": "A := S * 2\nB := cumsum(A)\nC := S + T\n",
+        "outputs": ["A", "B", "C"],
+    }
+    (tmp_path / "project.json").write_text(json.dumps(spec))
+    return tmp_path
+
+
+def _cli(project_dir, command, *extra, out="results"):
+    return main(
+        [command, str(project_dir / "project.json"), *extra,
+         "--out", str(project_dir / out)]
+    )
+
+
+def _counters(text):
+    """The counters section of a ``--metrics`` dump."""
+    lines = text.split("\ncounters:\n", 1)[1].splitlines()
+    counters = {}
+    for line in lines:
+        if not line.startswith("  "):
+            break
+        name, value = line.split()
+        counters[name] = int(value)
+    return counters
+
+
+def _spy(monkeypatch, module, attr):
+    """Record the positional arguments of every call to ``module.attr``."""
+    calls = []
+    original = getattr(module, attr)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
+class TestDemandDrivenQuery:
+    """``exl query`` reads the queried cube and nothing else."""
+
+    def test_reads_only_the_queried_cube(self, multi_project, monkeypatch, capsys):
+        import repro.cli
+
+        assert _cli(multi_project, "run") == 0
+        reads = _spy(monkeypatch, repro.cli, "read_cube_csv")
+        assert _cli(multi_project, "query", "B", "--levels", "q=all") == 0
+        assert [(schema.name, Path(path).parent.name) for schema, path in reads] == [
+            ("B", "baseline")
+        ]
+
+    def test_never_attaches_a_columnar_sidecar(self, multi_project, monkeypatch, capsys):
+        import repro.cli
+
+        assert _cli(multi_project, "run") == 0
+        attaches = _spy(monkeypatch, repro.cli, "attach_store_sidecar")
+        for cube in ("S", "C"):
+            assert _cli(multi_project, "query", cube, "--levels", "q=all") == 0
+        assert attaches == []
+
+    def test_elementary_answer_from_baseline_else_project(self, multi_project, capsys):
+        assert _cli(multi_project, "run") == 0
+        # revise S after the run: the baseline still holds the old copy
+        schema = CubeSchema("S", [Dimension("q", TIME(Frequency.QUARTER))], "v")
+        revised = read_cube_csv(schema, multi_project / "s.csv")
+        revised.set((quarter(2000, 1),), 1000.0, overwrite=True)
+        write_cube_csv(revised, multi_project / "s.csv")
+        capsys.readouterr()
+        assert _cli(multi_project, "query", "S", "--point", "q=2000Q1") == 0
+        assert float(capsys.readouterr().out) == 0.0
+        # no baseline in this out dir: the project CSV answers
+        assert _cli(
+            multi_project, "query", "S", "--point", "q=2000Q1", out="fresh"
+        ) == 0
+        assert float(capsys.readouterr().out) == 1000.0
+
+    def test_derived_cube_without_baseline_has_no_data(self, multi_project, capsys):
+        assert _cli(multi_project, "query", "B", out="fresh") == 2
+        assert "no data" in capsys.readouterr().err
+
+    def test_query_after_noop_update_attaches_the_lattice(self, multi_project, capsys):
+        assert _cli(multi_project, "run") == 0
+        capsys.readouterr()
+        query = ("query", "C", "--levels", "q=year", "--metrics")
+        assert _cli(multi_project, *query) == 0
+        cold = _counters(capsys.readouterr().out)
+        assert cold.get("olap.lattice.builds") == 1
+        assert _cli(multi_project, "update") == 0
+        capsys.readouterr()
+        assert _cli(multi_project, *query) == 0
+        warm = _counters(capsys.readouterr().out)
+        assert warm.get("olap.lattice.builds", 0) == 0
+        assert warm["cli.baseline.cubes_read"] == 1
+
+
+class TestNoRewriteUpdate:
+    """``exl update`` leaves the files of unchanged cubes in place."""
+
+    def _baseline_files(self, out_dir):
+        baseline = out_dir / "baseline"
+        files = [
+            *baseline.glob("*.csv"),
+            *(baseline / "columnar").glob("*.json"),
+            *(baseline / "olap").glob("*.json"),
+            *out_dir.glob("*.csv"),
+        ]
+        return {
+            str(path): (path.stat().st_ino, path.stat().st_mtime_ns)
+            for path in files
+        }
+
+    def test_noop_update_touches_no_cube_file(self, multi_project, capsys):
+        out_dir = multi_project / "results"
+        assert _cli(multi_project, "run") == 0
+        assert _cli(multi_project, "query", "C", "--levels", "q=year") == 0
+        before = self._baseline_files(out_dir)
+        # 5 baseline CSVs, 1 lattice sidecar, 3 exports, and a columnar
+        # sidecar per cube unless the tuple view is forced
+        assert len(before) in (5 + 1 + 3, 5 + 5 + 1 + 3)
+        assert _cli(multi_project, "update", "--metrics") == 0
+        assert self._baseline_files(out_dir) == before
+        out = capsys.readouterr().out
+        assert "baseline: 3 cube(s) read, 5 reused" in out
+        counters = _counters(out)
+        assert counters["cli.baseline.cubes_reused"] == 5
+        # only baseline.json is rewritten
+        assert counters["cli.baseline.bytes_written"] == (
+            out_dir / "baseline" / "baseline.json"
+        ).stat().st_size
+
+    def test_noop_update_serializes_nothing(self, multi_project, monkeypatch, capsys):
+        import repro.cli
+        import repro.engine.journal
+
+        assert _cli(multi_project, "run") == 0
+        calls = _spy(monkeypatch, repro.cli, "cube_to_csv_text")
+        calls += _spy(monkeypatch, repro.engine.journal, "cube_to_csv_text")
+        assert _cli(multi_project, "update") == 0
+        assert calls == []
+
+    def test_deleted_or_edited_output_restored(self, multi_project, capsys):
+        out_dir = multi_project / "results"
+        assert _cli(multi_project, "run") == 0
+        expected = {n: (out_dir / f"{n}.csv").read_bytes() for n in "ABC"}
+        (out_dir / "A.csv").unlink()
+        (out_dir / "B.csv").write_bytes(expected["B"].replace(b"2", b"3"))
+        assert _cli(multi_project, "update") == 0
+        assert {
+            n: (out_dir / f"{n}.csv").read_bytes() for n in "ABC"
+        } == expected
+
+    def test_revision_update_matches_fresh_run(self, multi_project, capsys):
+        out_dir = multi_project / "results"
+        assert _cli(multi_project, "run") == 0
+        # revise 1 of S's 100 rows
+        schema = CubeSchema("S", [Dimension("q", TIME(Frequency.QUARTER))], "v")
+        revised = read_cube_csv(schema, multi_project / "s.csv")
+        revised.set((quarter(2010, 3),), -5.5, overwrite=True)
+        write_cube_csv(revised, multi_project / "s.csv")
+        assert _cli(multi_project, "update") == 0
+        assert _cli(multi_project, "run", out="fresh") == 0
+        fresh_dir = multi_project / "fresh"
+        for relative in ("A.csv", "B.csv", "C.csv", *(
+            f"baseline/{n}.csv" for n in "STABC"
+        )):
+            assert (out_dir / relative).read_bytes() == (
+                fresh_dir / relative
+            ).read_bytes(), relative
+        assert (
+            json.loads((out_dir / "baseline" / "baseline.json").read_text())[
+                "cubes"
+            ]
+            == json.loads(
+                (fresh_dir / "baseline" / "baseline.json").read_text()
+            )["cubes"]
+        )
+
+
+class TestByteEqualInputShortcut:
+    """An input byte-identical to its baseline copy is clean unparsed."""
+
+    def _spies(self, monkeypatch):
+        import repro.cli
+
+        reads = _spy(monkeypatch, repro.cli, "read_cube_csv")
+        deltas = _spy(monkeypatch, Cube, "delta")
+        return reads, deltas
+
+    def _baseline_reads(self, reads):
+        return sorted(
+            schema.name for schema, path in reads
+            if Path(path).parent.name == "baseline"
+        )
+
+    def test_byte_equal_input_skips_parse_and_delta(self, multi_project, monkeypatch, capsys):
+        assert _cli(multi_project, "run") == 0
+        reads, deltas = self._spies(monkeypatch)
+        assert _cli(multi_project, "update") == 0
+        assert self._baseline_reads(reads) == ["A", "B", "C"]
+        assert deltas == []
+        assert "affected=0 cubes" in capsys.readouterr().out
+
+    def test_reordered_input_is_diffed_and_clean(self, multi_project, monkeypatch, capsys):
+        assert _cli(multi_project, "run") == 0
+        path = multi_project / "s.csv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *reversed(rows)]) + "\n")
+        reads, deltas = self._spies(monkeypatch)
+        assert _cli(multi_project, "update") == 0
+        assert self._baseline_reads(reads) == ["A", "B", "C", "S"]
+        assert len(deltas) == 1
+        assert "affected=0 cubes" in capsys.readouterr().out
