@@ -44,7 +44,6 @@ from .backends import (
     all_backends,
 )
 from .chase import (
-    ChaseCache,
     ParallelStratifiedChase,
     StratifiedChase,
     cubes_from_instance,
@@ -95,7 +94,6 @@ __all__ = [
     "simplify_mapping",
     "StratifiedChase",
     "ParallelStratifiedChase",
-    "ChaseCache",
     "instance_from_cubes",
     "cubes_from_instance",
     "SqlBackend",

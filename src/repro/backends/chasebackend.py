@@ -22,7 +22,7 @@ from ..chase.delta import (
 )
 from ..chase.engine import StratifiedChase
 from ..chase.instance import RelationalInstance, store_for_cube
-from ..chase.scheduler import ChaseCache, ParallelStratifiedChase
+from ..chase.scheduler import ParallelStratifiedChase
 from ..chase.shard import ShardedStratifiedChase, resolve_shards
 from ..errors import BackendError
 from ..mappings.dependencies import Tgd
@@ -65,10 +65,8 @@ class ChaseBackend(Backend):
     """Reference executor: applies the tgds directly.
 
     ``parallel=True`` routes whole-mapping runs through the
-    stratum-parallel scheduler; ``cache`` attaches a cube-level
-    materialization cache shared across runs (incremental updates skip
-    unchanged strata).  Per-tgd compilation (``compile_tgd``) is
-    unaffected — it stays statement-ordered for the script targets.
+    stratum-parallel scheduler.  Per-tgd compilation (``compile_tgd``)
+    is unaffected — it stays statement-ordered for the script targets.
     """
 
     name = "chase"
@@ -77,7 +75,6 @@ class ChaseBackend(Backend):
         self,
         parallel: bool = False,
         max_workers: int = 4,
-        cache: Optional[ChaseCache] = None,
         vectorized: Optional[bool] = None,
         tracer=None,
         metrics=None,
@@ -88,9 +85,8 @@ class ChaseBackend(Backend):
     ):
         self.parallel = parallel
         self.max_workers = max_workers
-        self.cache = cache
         #: worker-process count for whole-mapping runs (0 = one per
-        #: core, 1 = no sharding); see chase.shard
+        #: usable core, 1 = no sharding); see chase.shard
         self.shards = shards
         #: shard-pool supervision knobs (see chase.shard): pool-rebuild
         #: rounds after worker death, and the per-shard wedge timeout
@@ -181,12 +177,7 @@ class ChaseBackend(Backend):
         check: Optional[Callable[[], None]] = None,
     ) -> Dict[str, Cube]:
         shards = resolve_shards(self.shards)
-        if (
-            not self.parallel
-            and self.cache is None
-            and not self.capture_deltas
-            and shards <= 1
-        ):
+        if not self.parallel and not self.capture_deltas and shards <= 1:
             return super().run_mapping(mapping, inputs, wanted, check=check)
         # the scheduler path runs whole strata at once; the cooperative
         # deadline check fires once up front (coarser than per-unit,
@@ -210,7 +201,6 @@ class ChaseBackend(Backend):
                 mapping,
                 max_workers=self.max_workers if self.parallel else 1,
                 shards=shards,
-                cache=self.cache,
                 vectorized=self.vectorized,
                 kernel_hook=self._on_kernel,
                 tracer=self.tracer,
@@ -224,7 +214,6 @@ class ChaseBackend(Backend):
             chase = ParallelStratifiedChase(
                 mapping,
                 max_workers=self.max_workers,
-                cache=self.cache,
                 vectorized=self.vectorized,
                 kernel_hook=self._on_kernel,
                 tracer=self.tracer,
@@ -233,7 +222,6 @@ class ChaseBackend(Backend):
         else:
             chase = StratifiedChase(
                 mapping,
-                cache=self.cache,
                 vectorized=self.vectorized,
                 kernel_hook=self._on_kernel,
                 tracer=self.tracer,

@@ -3,18 +3,17 @@
 The chase is the reference executor: it applies the generated
 dependencies directly and is the yardstick every backend is tested
 against (the paper's equivalence theorem).  The scheduler module adds
-the stratum-parallel variant and the cube-level materialization cache;
-``ParallelStratifiedChase`` is solution-equivalent to the sequential
-``StratifiedChase``.  The columnar module holds the vectorized tgd
-kernels (``vectorized=True``, the default); ``vectorized=False`` keeps
-the tuple-at-a-time path as the bit-exact ablation baseline.
+the stratum-parallel variant; ``ParallelStratifiedChase`` is
+solution-equivalent to the sequential ``StratifiedChase``.  The
+columnar module holds the vectorized tgd kernels (``vectorized=True``,
+the default); ``vectorized=False`` keeps the tuple-at-a-time path as
+the bit-exact ablation baseline.
 """
 
 from .columnar import ColumnarRelation, EncodedColumn, FallbackUnsupported
 from .engine import DEFAULT_VECTORIZED, ChaseResult, ChaseStats, StratifiedChase
 from .instance import RelationalInstance, cubes_from_instance, instance_from_cubes
 from .scheduler import (
-    ChaseCache,
     ParallelStratifiedChase,
     schedule_waves,
     stratum_dag,
@@ -36,7 +35,6 @@ __all__ = [
     "ShardPlan",
     "resolve_shards",
     "shard_of",
-    "ChaseCache",
     "ChaseResult",
     "ChaseStats",
     "schedule_waves",

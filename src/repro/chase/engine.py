@@ -42,9 +42,7 @@ class ChaseStats:
     """Counters describing one chase run.
 
     ``waves``/``max_wave_width`` describe the stratum DAG schedule of
-    the parallel scheduler (a sequential run is one tgd per wave);
-    ``cache_hits``/``cache_misses`` count cube-level materialization
-    cache lookups (both stay 0 when no cache is attached).
+    the parallel scheduler (a sequential run is one tgd per wave).
     """
 
     rule_applications: int = 0
@@ -52,8 +50,6 @@ class ChaseStats:
     per_tgd: Dict[str, int] = field(default_factory=dict)
     waves: int = 0
     max_wave_width: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     # target tgds that ran on a columnar kernel vs. the ones that fell
     # back to the tuple-at-a-time path (table functions, outer
     # vectorials, …).  Both stay 0 with ``vectorized=False``.
@@ -100,7 +96,6 @@ class StratifiedChase:
         self,
         mapping: SchemaMapping,
         use_indexes: bool = True,
-        cache: Optional["ChaseCacheProtocol"] = None,
         vectorized: Optional[bool] = None,
         kernel_hook=None,
         tracer=None,
@@ -109,9 +104,6 @@ class StratifiedChase:
         self.mapping = mapping
         self.registry = mapping.registry
         self.use_indexes = use_indexes
-        #: cube-level materialization cache (see chase.scheduler.ChaseCache);
-        #: duck-typed so the engine stays import-free of the scheduler.
-        self.cache = cache
         #: columnar kernels on/off; ``None`` defers to the module default
         self.vectorized = (
             DEFAULT_VECTORIZED if vectorized is None else bool(vectorized)
@@ -162,9 +154,7 @@ class StratifiedChase:
                                       width=1):
                     reads = self._operand_rows(tgd, target)
                     with self._tgd_span(tgd):
-                        produced = self._apply_cached(
-                            tgd, target, functional, stats
-                        )
+                        produced = self._apply(tgd, target, functional, stats)
                 self._record(stats, tgd, produced, reads=reads)
                 self._note_wave(1, time.perf_counter() - started)
             chase_span.note(
@@ -221,46 +211,6 @@ class StratifiedChase:
         self.metrics.inc("chase.rule_applications")
         self.metrics.inc("chase.tuples.inserted", produced)
         self.metrics.inc("chase.tuples.read", reads)
-
-    def _apply_cached(
-        self,
-        tgd: Tgd,
-        target: RelationalInstance,
-        functional: Dict[str, Dict[Tuple, Any]],
-        stats: ChaseStats,
-    ) -> int:
-        """Apply one target tgd, consulting the materialization cache.
-
-        Cached facts are *replayed through the egd-checking insert*, so
-        a hit can never mask a functionality violation against facts
-        contributed by other strata.
-        """
-        if self.cache is None:
-            return self._apply(tgd, target, functional, stats)
-        key = self.cache.key_for(tgd, target)
-        cached = self.cache.get(key)
-        if cached is not None:
-            self._note_cache(stats, hit=True)
-            self.metrics.inc("chase.egd.checks", len(cached))
-            produced = 0
-            for fact in cached:
-                produced += self._insert(
-                    target, functional, tgd.target_relation, fact
-                )
-            return produced
-        self._note_cache(stats, hit=False)
-        produced = self._apply(tgd, target, functional, stats)
-        self.cache.put(key, target.facts(tgd.target_relation))
-        return produced
-
-    def _note_cache(self, stats: ChaseStats, hit: bool) -> None:
-        """Stat-counter hook; the parallel scheduler serializes it."""
-        if hit:
-            stats.cache_hits += 1
-            self.metrics.inc("chase.cache.hits")
-        else:
-            stats.cache_misses += 1
-            self.metrics.inc("chase.cache.misses")
 
     def _note_kernel(
         self,

@@ -102,10 +102,18 @@ _INT = np.int64
 
 
 def resolve_shards(shards: int) -> int:
-    """Effective shard count: ``0`` means auto (one per CPU core)."""
+    """Effective shard count: ``0`` means auto (one per usable core).
+
+    Usable means the cores this process may run on (its CPU affinity
+    mask), not the host's total: a container pinned to 2 of 64 cores
+    gets 2 shards.
+    """
     shards = int(shards)
     if shards == 0:
-        shards = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            shards = len(os.sched_getaffinity(0))
+        else:
+            shards = os.cpu_count() or 1
     return max(1, shards)
 
 
@@ -582,7 +590,6 @@ class ShardedStratifiedChase(ParallelStratifiedChase):
         use_indexes: bool = True,
         max_workers: int = 4,
         shards: int = 0,
-        cache=None,
         vectorized: Optional[bool] = None,
         kernel_hook=None,
         tracer=None,
@@ -596,7 +603,6 @@ class ShardedStratifiedChase(ParallelStratifiedChase):
             mapping,
             use_indexes,
             max_workers=max_workers,
-            cache=cache,
             vectorized=vectorized,
             kernel_hook=kernel_hook,
             tracer=tracer,
@@ -853,7 +859,7 @@ class ShardedStratifiedChase(ParallelStratifiedChase):
             with self._stats_lock:
                 stats.shard_merge_s += time.perf_counter() - started
             return produced
-        return self._apply_cached(tgd, target, functional, stats)
+        return self._apply(tgd, target, functional, stats)
 
     def _merge_local(
         self,

@@ -190,7 +190,6 @@ def _build_engine(
     parallel: bool = False,
     jobs: int = 4,
     shards: int = 1,
-    chase_cache: bool = True,
     vectorize: bool = True,
     tracer=None,
     metrics=None,
@@ -211,7 +210,6 @@ def _build_engine(
         parallel=parallel,
         jobs=jobs,
         shards=shards,
-        chase_cache=chase_cache,
         vectorize=vectorize,
         tracer=tracer,
         metrics=metrics,
@@ -533,7 +531,6 @@ def cmd_update(args) -> int:
         parallel=args.parallel,
         jobs=args.jobs,
         shards=args.shards,
-        chase_cache=not args.no_chase_cache,
         vectorize=not args.no_vectorize,
         backoff_s=args.backoff,
         journal=journal,
@@ -675,7 +672,6 @@ def cmd_run(args) -> int:
         parallel=args.parallel,
         jobs=args.jobs,
         shards=args.shards,
-        chase_cache=not args.no_chase_cache,
         vectorize=not args.no_vectorize,
         tracer=tracer,
         metrics=metrics,
@@ -741,7 +737,6 @@ def cmd_resume(args) -> int:
         parallel=args.parallel,
         jobs=args.jobs,
         shards=args.shards,
-        chase_cache=not args.no_chase_cache,
         vectorize=not args.no_vectorize,
         backoff_s=args.backoff,
         journal=journal,
@@ -1008,13 +1003,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             help="worker processes for sharded chase execution: "
             "elementary cubes are hash-partitioned on one dimension, "
             "chased per shard, and merged through the egd-checking "
-            "insert (0 = one shard per CPU core, 1 = off; tuple-for-"
+            "insert (0 = one shard per usable CPU core, 1 = off; tuple-for-"
             "tuple equivalent to unsharded runs)",
-        )
-        command.add_argument(
-            "--no-chase-cache",
-            action="store_true",
-            help="disable the cube-level chase materialization cache",
         )
         command.add_argument(
             "--no-vectorize",
@@ -1106,7 +1096,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--metrics",
         action="store_true",
         help="print the metrics registry (counters and histograms: "
-        "tuples, cache hits, kernel fallbacks with reasons, wave "
+        "tuples, kernel fallbacks with reasons, wave "
         "widths/durations) after the run",
     )
     run.set_defaults(func=cmd_run)

@@ -21,7 +21,6 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..backends import Backend, ChaseBackend, all_backends
-from ..chase.scheduler import ChaseCache
 from ..errors import EngineError
 from ..exl.operators import OperatorRegistry, default_registry
 from ..model.catalog import MetadataCatalog
@@ -49,7 +48,6 @@ class EXLEngine:
         parallel: bool = False,
         jobs: int = 4,
         shards: int = 1,
-        chase_cache: bool = True,
         vectorize: Optional[bool] = None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
@@ -86,7 +84,7 @@ class EXLEngine:
         self.journal = journal
         #: worker threads for parallel waves (dispatcher and chase scheduler)
         self.jobs = max(1, int(jobs))
-        #: worker processes for sharded chase runs (0 = one per core,
+        #: worker processes for sharded chase runs (0 = one per usable core,
         #: 1 = sharding off); see repro.chase.shard
         self.shards = max(0, int(shards))
         #: columnar chase kernels on/off (None = engine default, i.e. on)
@@ -112,17 +110,11 @@ class EXLEngine:
                 cost_model.metrics = self.metrics
             cost_model.load()
         self.cost_model = cost_model
-        #: cube-level chase materialization cache, shared across runs so
-        #: incremental updates skip unchanged strata (None = disabled)
-        self.chase_cache: Optional[ChaseCache] = (
-            ChaseCache(metrics=self.metrics) if chase_cache else None
-        )
         chase_backend = self.backends.get("chase")
         if isinstance(chase_backend, ChaseBackend):
             chase_backend.parallel = parallel
             chase_backend.max_workers = self.jobs
             chase_backend.shards = self.shards
-            chase_backend.cache = self.chase_cache
             chase_backend.vectorized = vectorize
             chase_backend.tracer = self.tracer
             chase_backend.metrics = self.metrics
@@ -411,13 +403,6 @@ class EXLEngine:
             record.determination_s = determination_s
             record.translation_s = translation_s
             self.metrics.inc("engine.updates")
-            if self.chase_cache is not None and dirty:
-                # cache entries keyed over stale operand content can
-                # never hit again; drop them so the counters (and the
-                # cache's memory) reflect reality
-                self.chase_cache.invalidate_relations(
-                    set(dirty) | set(affected)
-                )
             self._dispatch(
                 translated,
                 record,

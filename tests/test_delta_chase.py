@@ -8,7 +8,7 @@ clean skips, and full-recompute fallbacks produced it.  The 50-seed
 sweep drives random programs (aggregations, shifts, outer joins, table
 functions) through random perturbations (measure edits, deletions,
 insertions, and the empty delta) and composes with the suite-wide
-``--jobs`` / ``--no-vectorize`` axes plus cache on/off.
+``--jobs`` / ``--no-vectorize`` axes.
 """
 
 import random
@@ -21,19 +21,13 @@ from repro.errors import ReproError
 from repro.exl import Program
 from repro.mappings import generate_mapping
 from repro.model import Cube
-from repro.workloads import gdp_example, random_workload
+from repro.workloads import random_workload
 
 SEEDS = range(50)
 
 
-def _build_engine(workload, *, parallel=False, jobs=1, chase_cache=True,
-                  preferred_targets=None):
-    engine = EXLEngine(
-        parallel=parallel,
-        jobs=jobs,
-        chase_cache=chase_cache,
-        target_priority=("chase",),
-    )
+def _build_engine(workload, *, parallel=False, jobs=1, preferred_targets=None):
+    engine = EXLEngine(parallel=parallel, jobs=jobs, target_priority=("chase",))
     for schema in workload.schema:
         engine.declare_elementary(schema)
     engine.add_program(workload.source, preferred_targets=preferred_targets)
@@ -106,17 +100,10 @@ class TestUpdateEquivalence:
         )
         baseline_data = _truncate(workload.data, seed)
         revised_data = _perturb(workload.data, seed)
-        chase_cache = seed % 2 == 0  # compose the cache axis over the sweep
         parallel = chase_jobs > 1
 
-        updated = _build_engine(
-            workload, parallel=parallel, jobs=chase_jobs,
-            chase_cache=chase_cache,
-        )
-        fresh = _build_engine(
-            workload, parallel=parallel, jobs=chase_jobs,
-            chase_cache=chase_cache,
-        )
+        updated = _build_engine(workload, parallel=parallel, jobs=chase_jobs)
+        fresh = _build_engine(workload, parallel=parallel, jobs=chase_jobs)
         for cube in baseline_data.values():
             updated.load(cube)
         try:

@@ -18,8 +18,10 @@ from repro.model import (
     Dimension,
     Frequency,
     MetadataCatalog,
+    month,
     quarter,
 )
+from repro.workloads.datagen import random_cube
 
 
 def _series(name):
@@ -269,6 +271,23 @@ class TestEXLEngineFacade:
         sequential.run()
         parallel.run()
         assert sequential.data("D").approx_equals(parallel.data("D"))
+
+    def test_changed_data_recomputes_through_engine(self):
+        schema = CubeSchema("S", [Dimension("m", TIME(Frequency.MONTH))], "v")
+        engine = EXLEngine(parallel=True, jobs=2)
+        engine.declare_elementary(schema)
+        engine.add_program(
+            "A := S * 2\nB := S + 5\nC := A + B",
+            preferred_targets={"A": "chase", "B": "chase", "C": "chase"},
+        )
+        domains = {"m": [month(2022, 1) + i for i in range(8)]}
+        engine.load(random_cube(schema, domains, seed=11))
+        engine.run()
+        revised = random_cube(schema, domains, seed=12)
+        engine.load(revised)
+        engine.run()
+        expected = {k + (v * 2,) for k, v in revised.items()}
+        assert set(engine.data("A").to_rows()) == expected
 
     def test_run_summary_mentions_targets(self):
         engine = _build_engine()

@@ -25,7 +25,6 @@ from pathlib import Path
 import pytest
 
 from repro.chase import (
-    ChaseCache,
     ParallelStratifiedChase,
     StratifiedChase,
     instance_from_cubes,
@@ -201,25 +200,6 @@ class TestMetricsParity:
         assert metrics.histogram("chase.wave.width").count == stats.waves
         assert metrics.value("chase.tuples.read") > 0
         assert metrics.value("chase.egd.checks") >= stats.tuples_generated
-
-    def test_cache_hits_and_misses_match_stats(self):
-        mapping, source = _series_workload()
-        metrics = MetricsRegistry()
-        cache = ChaseCache(metrics=metrics)
-        chase = ParallelStratifiedChase(
-            mapping, max_workers=2, cache=cache, metrics=metrics
-        )
-        cold = chase.run(source).stats
-        warm = chase.run(source).stats
-        assert warm.cache_hits > 0 and warm.cache_misses == 0
-        assert metrics.value("chase.cache.hits") == (
-            cold.cache_hits + warm.cache_hits
-        )
-        assert metrics.value("chase.cache.misses") == (
-            cold.cache_misses + warm.cache_misses
-        )
-        cache.clear()
-        assert metrics.value("chase.cache.invalidations") == cache.invalidations
 
     def test_fallback_reasons_are_counted_by_reason(self):
         # table functions have no columnar kernel, so this always falls

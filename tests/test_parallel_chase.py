@@ -20,10 +20,27 @@ from repro.chase import (
     schedule_waves,
     stratum_dag,
 )
-from repro.errors import ChaseSourceError, MappingError
+from repro.errors import ChaseError, ChaseSourceError, MappingError
 from repro.exl import Program
-from repro.mappings import generate_mapping, simplify_mapping
-from repro.model import TIME, Cube, CubeSchema, Dimension, Frequency, Schema, month
+from repro.mappings import (
+    Atom,
+    Egd,
+    SchemaMapping,
+    Tgd,
+    TgdKind,
+    Var,
+    generate_mapping,
+    simplify_mapping,
+)
+from repro.model import (
+    TIME,
+    CubeSchema,
+    Dimension,
+    Frequency,
+    Schema,
+    month,
+    quarter,
+)
 from repro.workloads import gdp_example, random_workload
 from repro.workloads.datagen import random_cube
 
@@ -183,3 +200,51 @@ class TestSchedulerGuards:
             ),
         ]
         assert stratum_dag(tgds) == [set(), {0}]
+
+
+class TestEgdDetection:
+    """Both schedulers fail a run whose data violates a target egd.
+
+    Mappings generated from valid programs never violate functionality
+    (Section 4.2), so the check is defensive; this hand-built mapping
+    projects the time dimension away without aggregating, and two
+    source tuples with different measures collide in ``OUT``.
+    """
+
+    def _broken_projection_mapping(self):
+        series = CubeSchema("S", [Dimension("q", TIME(Frequency.QUARTER))], "v")
+        target = Schema([series, CubeSchema("OUT", (), "v")])
+        registry = generate_mapping(
+            Program.compile("C := S", Schema([series]))
+        ).registry
+        copy = Tgd(
+            [Atom("S", (Var("q"), Var("v")))],
+            Atom("S", (Var("q"), Var("v"))),
+            TgdKind.COPY,
+            label="S",
+        )
+        tgd = Tgd(
+            [Atom("S", (Var("q"), Var("v")))],
+            Atom("OUT", (Var("v"),)),
+            TgdKind.TUPLE_LEVEL,
+            label="OUT",
+        )
+        return SchemaMapping(
+            Schema([series]), target, [copy], [tgd], [Egd("OUT", 0)], registry
+        )
+
+    def test_second_run_over_violating_data_raises(self, chase_jobs):
+        mapping = self._broken_projection_mapping()
+        clean = instance_from_cubes({})
+        clean.ensure("S")
+        clean.add("S", (quarter(2020, 1), 1.0))
+        # run 1: a single tuple cannot violate functionality
+        result = StratifiedChase(mapping).run(clean)
+        assert result.instance.facts("OUT") == {(1.0,)}
+        # run 2: new source data introduces the violation
+        dirty = clean.copy()
+        dirty.add("S", (quarter(2020, 2), 2.0))
+        with pytest.raises(ChaseError, match="egd violation"):
+            StratifiedChase(mapping).run(dirty)
+        with pytest.raises(ChaseError, match="egd violation"):
+            ParallelStratifiedChase(mapping, max_workers=chase_jobs).run(dirty)
